@@ -1,9 +1,8 @@
 // cryoeda — the unified flow driver.
 //
 // One binary that wires the whole stack (library characterization,
-// matcher, pass pipeline, STA signoff, reporting) the way the bench
-// main()s and examples/synthesis_cli used to wire it by hand, and
-// exposes the scriptable pass pipeline directly:
+// matcher, pass pipeline, STA signoff, reporting) and exposes the
+// scriptable pass pipeline directly:
 //
 //   cryoeda input.aig --script "c2rs; dch; if -K 6 -p pad; mfs; strash; map -p pad"
 //   cryoeda --bench dec4 --temp 10 --priority pda --out dec4.v --report run.json
@@ -25,6 +24,7 @@
 #include "cells/characterize.hpp"
 #include "core/corner_matrix.hpp"
 #include "core/experiment.hpp"
+#include "core/failure.hpp"
 #include "core/pipeline.hpp"
 #include "core/search.hpp"
 #include "device/preset.hpp"
@@ -388,12 +388,9 @@ int run_serve(int argc, char** argv) {
       return server.serve_unix(socket_path);
     }
     return server.serve(std::cin, std::cout);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return error_exit_code(e.kind());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return 1;
+    return core::describe(e).exit_code();
   }
 }
 
@@ -443,12 +440,9 @@ int run_cec(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "cryoeda: %s\n", e.what());
     return 2;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return error_exit_code(e.kind());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return 1;
+    return core::describe(e).exit_code();
   }
 }
 
@@ -545,12 +539,9 @@ int run_matrix_cmd(int argc, char** argv) {
                 result.backend_identity.c_str());
     std::printf("matrix report written to %s\n", report_path.c_str());
     return result.all_ok() ? 0 : 1;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return error_exit_code(e.kind());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return 1;
+    return core::describe(e).exit_code();
   }
 }
 
@@ -624,18 +615,13 @@ int main(int argc, char** argv) {
       std::printf("library: %s @ %g K, %g V\n", lib_path.c_str(),
                   args.temperature, args.vdd);
     }
-    const auto lib_dir = std::filesystem::path{lib_path}.parent_path();
-    if (!lib_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(lib_dir, ec);
-    }
     cells::CharOptions char_options;
     char_options.vdd = args.vdd;
     char_options.preset = *preset;
     char_options.backend = args.backend;
-    const auto library = cells::load_or_characterize(
-        lib_path, cells::standard_catalog(), args.temperature, char_options);
-    const map::CellMatcher matcher{library};
+    const auto corner = core::load_corner(lib_path, cells::standard_catalog(),
+                                          args.temperature, char_options);
+    const map::CellMatcher& matcher = corner->matcher;
 
     // The deterministic per-job report goes through the same
     // `core::run_scenario` entry point the daemon uses, so the two are
@@ -770,14 +756,8 @@ int main(int argc, char** argv) {
       std::printf("  run report written to %s\n", args.report_path.c_str());
     }
     return 0;
-  } catch (const core::RecipeError& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return 2;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return error_exit_code(e.kind());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return 1;
+    return core::describe(e).exit_code();
   }
 }

@@ -17,7 +17,8 @@ BUILD="${1:-build}"
 export CRYOEDA_THREADS="${CRYOEDA_THREADS:-4}"
 
 echo "== tier-1: build + ctest (CRYOEDA_THREADS=$CRYOEDA_THREADS) =="
-cmake -B "$BUILD" -S . >/dev/null
+# Warnings are errors, as in CI's test job.
+cmake -B "$BUILD" -S . -DCRYOEDA_WERROR=ON >/dev/null
 cmake --build "$BUILD" -j "$(nproc)"
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 

@@ -4,8 +4,7 @@
 #include <filesystem>
 #include <utility>
 
-#include "cells/characterize.hpp"
-#include "map/matcher.hpp"
+#include "core/failure.hpp"
 #include "spice/backend.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
@@ -87,6 +86,18 @@ util::Json row_json(const MatrixRow& row) {
 
 }  // namespace
 
+std::shared_ptr<const Corner> load_corner(
+    const std::string& lib_path, const std::vector<cells::CellSpec>& catalog,
+    double temperature_k, const cells::CharOptions& options) {
+  const auto dir = std::filesystem::path{lib_path}.parent_path();
+  if (!dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+  }
+  return std::make_shared<const Corner>(cells::load_or_characterize(
+      lib_path, catalog, temperature_k, options));
+}
+
 std::string MatrixCorner::label() const {
   return preset.name + "@" + fmt_g(temperature_k) + "K/" + fmt_g(vdd) + "V";
 }
@@ -163,9 +174,6 @@ MatrixResult run_matrix(const MatrixOptions& options) {
   const std::vector<epfl::Benchmark> suite = resolve_benches(options.benches);
   const std::vector<cells::CellSpec> catalog =
       options.catalog.empty() ? cells::standard_catalog() : options.catalog;
-  if (!options.lib_dir.empty()) {
-    std::filesystem::create_directories(options.lib_dir);
-  }
 
   MatrixResult result;
   result.backend_identity = backend.identity();
@@ -196,47 +204,31 @@ MatrixResult run_matrix(const MatrixOptions& options) {
         corner_budget.set_deadline_in(options.per_corner_deadline_s);
         copt.budget = &corner_budget;
       }
-      const liberty::Library library = cells::load_or_characterize(
-          entry.lib_path, catalog, corner.temperature_k, copt);
-      entry.library = library.name;
-      const map::CellMatcher matcher{library};
+      const auto loaded = load_corner(entry.lib_path, catalog,
+                                      corner.temperature_k, copt);
+      entry.library = loaded->library.name;
       entry.rows = util::parallel_map(
           suite.size(),
           [&](std::size_t b) {
             MatrixRow row;
             row.bench = suite[b].name;
             // Row-level fault isolation, same contract as the scenario
-            // fleet: anything but budget exhaustion stays in this row.
-            try {
-              row.comparison =
-                  compare_circuit(suite[b], matcher, options.experiment);
-            } catch (const Error& e) {
-              if (e.kind() == ErrorKind::kBudget) {
-                throw;  // faults the whole corner below
-              }
-              row.ok = false;
-              row.error = e.what();
-              row.error_kind = std::string{error_kind_name(e.kind())};
-              obs::counter("matrix.row_errors").add();
-            } catch (const std::exception& e) {
-              row.ok = false;
-              row.error = e.what();
-              row.error_kind = "internal";
-              obs::counter("matrix.row_errors").add();
-            }
+            // fleet: anything but budget exhaustion stays in this row
+            // (budget exhaustion faults the whole corner below).
+            isolate(row, "matrix.row_errors", [&] {
+              row.comparison = compare_circuit(suite[b], loaded->matcher,
+                                               options.experiment);
+            });
             return row;
           },
           options.experiment.threads);
-    } catch (const Error& e) {
-      entry.ok = false;
-      entry.error = e.what();
-      entry.error_kind = std::string{error_kind_name(e.kind())};
-      entry.rows.clear();
-      obs::counter("matrix.corner_errors").add();
     } catch (const std::exception& e) {
+      // Corner-level boundary: every failure, kBudget included, stays in
+      // this corner's entry.
+      const Failure failure = describe(e);
       entry.ok = false;
-      entry.error = e.what();
-      entry.error_kind = "internal";
+      entry.error = failure.error;
+      entry.error_kind = std::string{failure.error_kind()};
       entry.rows.clear();
       obs::counter("matrix.corner_errors").add();
     }

@@ -1,15 +1,42 @@
 #pragma once
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cells/catalog.hpp"
 #include "cells/characterize.hpp"
 #include "core/experiment.hpp"
 #include "device/preset.hpp"
+#include "liberty/library.hpp"
+#include "map/matcher.hpp"
 #include "util/json.hpp"
 
 namespace cryo::core {
+
+/// A characterized corner: a liberty library and the cell matcher built
+/// over it. The matcher points into `library`, so a corner lives on the
+/// heap and is shared, never copied.
+struct Corner {
+  explicit Corner(liberty::Library lib)
+      : library{std::move(lib)}, matcher{library} {}
+  Corner(const Corner&) = delete;
+  Corner& operator=(const Corner&) = delete;
+
+  liberty::Library library;
+  map::CellMatcher matcher;
+};
+
+/// The one path from a temperature corner to a matcher: load the
+/// liberty cache at `lib_path` (characterizing `catalog` at
+/// `temperature_k` and writing the cache when it is missing or stale —
+/// `cells::load_or_characterize`), then build the matcher. Creates the
+/// parent directory of `lib_path`. Used by the one-shot CLI, the
+/// corner matrix, and the daemon's resident corner map.
+std::shared_ptr<const Corner> load_corner(
+    const std::string& lib_path, const std::vector<cells::CellSpec>& catalog,
+    double temperature_k, const cells::CharOptions& options);
 
 /// The axes of a corner matrix: every (preset, temperature, Vdd) triple
 /// of the cross product is one characterization + synthesis corner.

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/failure.hpp"
 #include "core/pipeline.hpp"
 #include "liberty/json_io.hpp"
 #include "util/artifact_cache.hpp"
@@ -170,8 +171,7 @@ void renormalize(ScenarioResult& s, double analysis_clock,
 ScenarioResult run_scenario(const logic::Aig& aig,
                             const map::CellMatcher& matcher,
                             const ExperimentOptions& options,
-                            const ScenarioSpec& spec, util::Budget* budget,
-                            const PassRegistry* registry) {
+                            const ScenarioSpec& spec, util::Budget* budget) {
   const obs::ScopedSpan span{std::string{"core.scenario:"} + aig.name() + ":" +
                              spec.name};
   // A cached scenario would otherwise return before reaching any pass
@@ -182,29 +182,10 @@ ScenarioResult run_scenario(const logic::Aig& aig,
   util::faultinject::maybe_fail("core.scenario", ErrorKind::kInternal);
   // Cache under the canonical (parsed-and-printed) recipe, so spelling
   // variants of the same pipeline share an entry.
-  const Pipeline pipeline = Pipeline::parse(
-      spec.recipe, registry ? *registry : PassRegistry::global());
-  const std::string canonical = pipeline.to_string();
-  // A recipe that touches any pass outside the builtin registry (a
-  // service plugin, flagged `cacheable = false`) must bypass the
-  // scenario cache: the entry would be keyed on the pass *name* while
-  // the body lives only in one daemon. Builtin passes resolved through a
-  // *copy* of the registry share the builtin bodies, so they stay
-  // cacheable.
-  bool builtin_only = true;
-  for (const PassInvocation& invocation : pipeline.sequence()) {
-    if (!invocation.pass->cacheable ||
-        PassRegistry::global().find(invocation.pass->name) == nullptr) {
-      builtin_only = false;
-      break;
-    }
-  }
-  if (!builtin_only) {
-    obs::counter("cache.plugin_skips").add();
-  }
+  const std::string canonical = Pipeline::parse(spec.recipe).to_string();
   auto& cache = util::ArtifactCache::global();
   std::string cache_key;
-  if (cache.enabled() && builtin_only) {
+  if (cache.enabled()) {
     cache_key = util::ArtifactCache::key(
         kScenarioStage,
         scenario_cache_inputs(aig, matcher, options, canonical));
@@ -218,7 +199,7 @@ ScenarioResult run_scenario(const logic::Aig& aig,
   }
   obs::counter("core.scenarios_run").add();
   const FlowResult result = synthesize_with_recipe(
-      aig, matcher, options.flow, spec.recipe, budget, registry);
+      aig, matcher, options.flow, spec.recipe, budget);
   const sta::StaResult signoff = sta::analyze(result.netlist, options.sta);
   ScenarioResult out;
   out.scenario = spec.name;
@@ -233,7 +214,7 @@ ScenarioResult run_scenario(const logic::Aig& aig,
   // Never cache a degraded run: the key covers inputs only (not the
   // budget state), so a budget-starved result would later be served to
   // unbudgeted runs as the authoritative figures for this scenario.
-  if (cache.enabled() && builtin_only && !result.degraded) {
+  if (cache.enabled() && !result.degraded) {
     cache.store(kScenarioStage, cache_key, scenario_to_json(out));
   } else if (result.degraded) {
     obs::counter("cache.degraded_skips").add();
@@ -257,34 +238,14 @@ CircuitComparison compare_circuit(const epfl::Benchmark& benchmark,
       [&](std::size_t i) {
         // Per-scenario fault isolation: a failing scenario records a
         // structured error in its row and lets its siblings complete.
-        // Budget cancellation is the one exception — it must stop the
-        // whole fleet, so it propagates.
-        try {
-          return run_scenario(benchmark.aig, matcher, options, specs[i]);
-        } catch (const Error& e) {
-          if (e.kind() == ErrorKind::kBudget) {
-            throw;
-          }
-          ScenarioResult failed;
-          failed.scenario = specs[i].name;
-          failed.recipe = specs[i].recipe;
-          failed.priority = specs[i].priority;
-          failed.ok = false;
-          failed.error = e.what();
-          failed.error_kind = std::string{error_kind_name(e.kind())};
-          obs::counter("fleet.scenario_errors").add();
-          return failed;
-        } catch (const std::exception& e) {
-          ScenarioResult failed;
-          failed.scenario = specs[i].name;
-          failed.recipe = specs[i].recipe;
-          failed.priority = specs[i].priority;
-          failed.ok = false;
-          failed.error = e.what();
-          failed.error_kind = "internal";
-          obs::counter("fleet.scenario_errors").add();
-          return failed;
-        }
+        ScenarioResult row;
+        row.scenario = specs[i].name;
+        row.recipe = specs[i].recipe;
+        row.priority = specs[i].priority;
+        isolate(row, "fleet.scenario_errors", [&] {
+          row = run_scenario(benchmark.aig, matcher, options, specs[i]);
+        });
+        return row;
       },
       options.threads);
   cmp.baseline = scenarios[0];

@@ -86,16 +86,12 @@ void validate(const ExperimentOptions& options);
 /// stored). `budget`, when non-null, bounds this scenario alone — the
 /// recipe-search driver gives every variant its own wall-clock budget;
 /// null uses `util::Budget::global()`. Throws on failure (RecipeError,
-/// cryo::Error, ...); fleet callers wrap it for fault isolation.
-/// `registry`, when non-null, resolves pass names instead of the builtin
-/// registry; recipes touching any non-builtin pass bypass the scenario
-/// cache (their bodies are not keyable process-image state).
+/// cryo::Error, ...); fleet callers wrap it in `core::isolate`.
 ScenarioResult run_scenario(const logic::Aig& aig,
                             const map::CellMatcher& matcher,
                             const ExperimentOptions& options,
                             const ScenarioSpec& spec,
-                            util::Budget* budget = nullptr,
-                            const PassRegistry* registry = nullptr);
+                            util::Budget* budget = nullptr);
 
 /// Run the three scenarios of paper §V-B on one circuit, normalizing the
 /// power clock to the slowest variant (footnote 1 of the paper).

@@ -87,13 +87,9 @@ FlowResult synthesize_with_recipe(const logic::Aig& input,
                                   const map::CellMatcher& matcher,
                                   const FlowOptions& options,
                                   std::string_view recipe,
-                                  util::Budget* budget,
-                                  const PassRegistry* registry) {
+                                  util::Budget* budget) {
   validate(options);
-  return run_recipe(
-      input, matcher, options,
-      Pipeline::parse(recipe, registry ? *registry : PassRegistry::global()),
-      budget);
+  return run_recipe(input, matcher, options, Pipeline::parse(recipe), budget);
 }
 
 }  // namespace cryo::core

@@ -13,8 +13,6 @@ class Budget;
 
 namespace cryo::core {
 
-class PassRegistry;
-
 /// Options of the three-stage cryogenic-aware synthesis pipeline
 /// (paper §V-B).
 struct FlowOptions {
@@ -74,15 +72,11 @@ FlowResult synthesize(const logic::Aig& input, const map::CellMatcher& matcher,
 /// malformed recipe. If the recipe never runs `map`, the returned
 /// netlist is empty. `budget`, when non-null, replaces
 /// `util::Budget::global()` for this run (the recipe-search driver
-/// gives every variant its own wall-clock budget this way). `registry`,
-/// when non-null, resolves pass names instead of the builtin
-/// `PassRegistry::global()` — the service's `load_plugin` path compiles
-/// recipes against a per-daemon registry copy this way.
+/// gives every variant its own wall-clock budget this way).
 FlowResult synthesize_with_recipe(const logic::Aig& input,
                                   const map::CellMatcher& matcher,
                                   const FlowOptions& options,
                                   std::string_view recipe,
-                                  util::Budget* budget = nullptr,
-                                  const PassRegistry* registry = nullptr);
+                                  util::Budget* budget = nullptr);
 
 }  // namespace cryo::core

@@ -493,8 +493,7 @@ bool pass_cache_env_enabled() {
 /// `strash` consume one, and `map`'s netlist is cheap relative to the
 /// passes before it.
 bool pass_cacheable(const Pass& pass) {
-  return pass.cacheable && !pass.needs_luts && !pass.makes_luts &&
-         pass.name != "map";
+  return !pass.needs_luts && !pass.makes_luts && pass.name != "map";
 }
 
 util::Json pass_cache_inputs(std::uint64_t state_fp,

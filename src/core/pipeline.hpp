@@ -3,11 +3,11 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/failure.hpp"
 #include "core/flow.hpp"
 #include "opt/lut_map.hpp"
 
@@ -37,13 +37,6 @@ namespace cryo::core {
 /// Semantic changes to pass *bodies* with unchanged inputs are covered
 /// by `util::kCacheSchemaVersion` instead.
 inline constexpr int kPassCacheKeyVersion = 1;
-
-/// Recipe parse / validation failure. `what()` carries an actionable
-/// message with the offending segment, pass, and flag.
-class RecipeError : public std::runtime_error {
-public:
-  using std::runtime_error::runtime_error;
-};
 
 /// Mutable state threaded through a pipeline run: the current AIG,
 /// stage-2 scratch (structural choices, a pending LUT cover, the
@@ -138,11 +131,6 @@ struct Pass {
   /// resub, dch, mfs): a budget found exhausted right after such a pass
   /// ran is recorded as a degradation.
   bool budget_aware = false;
-  /// Eligible for the per-pass artifact cache. Embedder-registered
-  /// passes (service `load_plugin`) set this false: their bodies are not
-  /// part of the process image, so a cache entry keyed on just the pass
-  /// name could collide across daemons with different plugin bodies.
-  bool cacheable = true;
   std::function<void(FlowState&, const PassArgs&)> run;
 };
 

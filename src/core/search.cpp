@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "core/failure.hpp"
 #include "core/pipeline.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
@@ -177,23 +178,10 @@ std::vector<CircuitSearchResult> search_recipes(
         }
         // Same fault isolation as the fig3 fleet: record the failure in
         // the trial row; only global cancellation stops the sweep.
-        try {
+        isolate(trial.result, "search.variant_errors", [&] {
           trial.result = run_scenario(suite[circuit].aig, matcher,
                                       options.experiment, spec, budget);
-        } catch (const Error& e) {
-          if (e.kind() == ErrorKind::kBudget) {
-            throw;
-          }
-          trial.result.ok = false;
-          trial.result.error = e.what();
-          trial.result.error_kind = std::string{error_kind_name(e.kind())};
-          obs::counter("search.variant_errors").add();
-        } catch (const std::exception& e) {
-          trial.result.ok = false;
-          trial.result.error = e.what();
-          trial.result.error_kind = "internal";
-          obs::counter("search.variant_errors").add();
-        }
+        });
         obs::counter("search.variants_run").add();
         return trial;
       },

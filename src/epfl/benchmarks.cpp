@@ -166,7 +166,9 @@ Aig make_max(unsigned bits, unsigned words) {
   aig.set_name("max");
   std::vector<Word> inputs;
   for (unsigned w = 0; w < words; ++w) {
-    inputs.push_back(input_word(aig, "w" + std::to_string(w), bits));
+    std::string name = "w";
+    name += std::to_string(w);
+    inputs.push_back(input_word(aig, name, bits));
   }
   // Tournament of compare-and-select.
   while (inputs.size() > 1) {
@@ -523,7 +525,9 @@ Aig make_router(unsigned ports) {
   std::vector<Word> dest;
   Word valid = input_word(aig, "v", ports);
   for (unsigned p = 0; p < ports; ++p) {
-    dest.push_back(input_word(aig, "d" + std::to_string(p), log));
+    std::string name = "d";
+    name += std::to_string(p);
+    dest.push_back(input_word(aig, name, log));
   }
   for (unsigned out = 0; out < ports; ++out) {
     Lit granted = logic::kConst0;

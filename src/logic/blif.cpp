@@ -31,7 +31,9 @@ std::string write_blif(const Aig& aig) {
         }
       }
     }
-    return "n" + std::to_string(v);
+    std::string name = "n";
+    name += std::to_string(v);
+    return name;
   };
 
   // Constant-zero node, if referenced.

@@ -40,8 +40,8 @@ public:
   std::vector<util::Json> drain_ready();
 
   /// Block until every submitted job finished; pop all replies. This is
-  /// also the `load_plugin` / `shutdown` barrier: after it returns, no
-  /// job is in flight and the caller may mutate shared state.
+  /// also the `stats` / `shutdown` barrier: after it returns, no job is
+  /// in flight.
   std::vector<util::Json> drain_all();
 
 private:

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "cells/characterize.hpp"
 #include "device/preset.hpp"
 #include "opt/cost.hpp"
 #include "spice/backend.hpp"
@@ -81,20 +80,14 @@ JobRequest parse_request(const util::Json& json) {
         reject("field 'seed' must be a non-negative integer");
       }
       req.flow.seed = static_cast<std::uint64_t>(value.as_int());
-    } else if (key == "name") {
-      req.plugin_name = expect_string(key, value);
-    } else if (key == "script") {
-      req.plugin_script = expect_string(key, value);
-    } else if (key == "help") {
-      req.plugin_help = expect_string(key, value);
     } else {
       reject("unknown field '" + key + "'");
     }
   }
   if (req.op != "synth" && req.op != "ping" && req.op != "stats" &&
-      req.op != "shutdown" && req.op != "load_plugin") {
+      req.op != "shutdown") {
     reject("unknown op '" + req.op +
-           "' (expected synth | ping | stats | load_plugin | shutdown)");
+           "' (expected synth | ping | stats | shutdown)");
   }
   if (req.op == "synth") {
     // The one-shot CLI defaults to pda; jobs do the same.
@@ -110,32 +103,13 @@ JobRequest parse_request(const util::Json& json) {
     const device::Preset& preset = device::resolve_preset(req.preset);
     device::validate_corner(preset, req.temp, req.vdd);
     spice::resolve_backend(req.backend);
-    if (!req.plugin_name.empty() || !req.plugin_script.empty() ||
-        !req.plugin_help.empty()) {
-      reject("a synth job takes no name/script/help fields");
-    }
-  } else {
-    if (!req.bench.empty() || !req.aiger_path.empty() || !req.recipe.empty() ||
-        !req.preset.empty() || !req.backend.empty()) {
-      reject("'" + req.op +
-             "' takes no bench/aiger_path/recipe/preset/backend fields");
-    }
-    if (req.op == "load_plugin") {
-      if (req.plugin_name.empty() || req.plugin_script.empty()) {
-        reject("load_plugin needs non-empty 'name' and 'script' fields");
-      }
-    } else if (!req.plugin_name.empty() || !req.plugin_script.empty() ||
-               !req.plugin_help.empty()) {
-      reject("'" + req.op + "' takes no name/script/help fields");
-    }
+  } else if (!req.bench.empty() || !req.aiger_path.empty() ||
+             !req.recipe.empty() || !req.preset.empty() ||
+             !req.backend.empty()) {
+    reject("'" + req.op +
+           "' takes no bench/aiger_path/recipe/preset/backend fields");
   }
   return req;
-}
-
-std::string default_lib_path(const std::string& dir, double temperature_k,
-                             double vdd) {
-  return cells::default_lib_path(dir, device::default_preset(), "builtin",
-                                 temperature_k, vdd);
 }
 
 util::Json job_report_json(const logic::Aig& design, double temperature_k,

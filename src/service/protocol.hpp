@@ -17,8 +17,7 @@ namespace cryo::service {
 ///
 /// Request schema (all fields optional unless noted):
 ///
-///   {"op": "synth",            // default; also ping | stats |
-///                              //   load_plugin | shutdown
+///   {"op": "synth",            // default; also ping | stats | shutdown
 ///    "id": "job-1",            // echoed verbatim in the reply
 ///    "bench": "dec4",          // built-in benchmark ...
 ///    "aiger_path": "f.aig",    // ... or an AIGER file (exactly one)
@@ -32,10 +31,6 @@ namespace cryo::service {
 ///                              //   CRYOEDA_SPICE_BACKEND env var)
 ///    "deadline_s": 5.0,        // per-job wall-clock budget (0 = none)
 ///    "seed": 29}               // flow seed
-///
-///   load_plugin: {"op": "load_plugin", "name": "p", "script": "...",
-///                 "help": "..."} — registers `name` as a composite pass
-///   running the compiled script (see Server::load_plugin).
 ///
 /// Reply schema:
 ///
@@ -69,23 +64,11 @@ struct JobRequest {
   std::string backend;  ///< SPICE engine; "" = env / builtin
   double deadline_s = 0.0;
   core::FlowOptions flow;  ///< priority/seed applied from the request
-  // load_plugin fields.
-  std::string plugin_name;
-  std::string plugin_script;
-  std::string plugin_help;
 };
 
 /// Parse and validate one request object. Throws cryo::Error{kRecipe}
 /// with an actionable message on unknown fields / types / values.
 JobRequest parse_request(const util::Json& json);
-
-/// The liberty cache path the one-shot CLI and the daemon share for a
-/// corner of the *default* platform: `<dir>/cryoeda_lib_<int(T)>K.lib`,
-/// with a `_<vdd>V` tag when the supply is not the 0.7 V default (keeps
-/// historical paths stable). Non-default presets/engines resolve via
-/// `cells::default_lib_path`, which this delegates to.
-std::string default_lib_path(const std::string& dir, double temperature_k,
-                             double vdd);
 
 /// The deterministic per-job report both `cryoeda --job-report` and the
 /// daemon emit: schema tag, design interface, corner, canonical recipe,

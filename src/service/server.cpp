@@ -9,13 +9,14 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
-#include <filesystem>
 #include <istream>
 #include <ostream>
 #include <streambuf>
 #include <utility>
 
 #include "core/experiment.hpp"
+#include "core/failure.hpp"
+#include "core/pipeline.hpp"
 #include "device/preset.hpp"
 #include "epfl/benchmarks.hpp"
 #include "spice/backend.hpp"
@@ -149,9 +150,7 @@ private:
 }  // namespace
 
 Server::Server(ServeOptions options)
-    : options_{std::move(options)},
-      registry_{core::PassRegistry::global()},
-      queue_{options_.threads} {
+    : options_{std::move(options)}, queue_{options_.threads} {
   if (options_.catalog.empty()) {
     options_.catalog = cells::standard_catalog();
   }
@@ -267,11 +266,6 @@ void Server::dispatch(const std::string& line, std::ostream& out) {
     flush(queue_.drain_all(), out);
     flush({op_ok_reply(req.id, "shutdown")}, out);
     shutdown_ = true;
-  } else if (req.op == "load_plugin") {
-    // Barrier: jobs compiled against the old registry must finish
-    // before it mutates (compiled pipelines hold Pass pointers).
-    flush(queue_.drain_all(), out);
-    queue_.submit_ready(load_plugin(req));
   } else {
     queue_.submit([this, req = std::move(req)] { return run_job(req); });
   }
@@ -309,31 +303,6 @@ logic::Aig Server::resolve_design(const JobRequest& req) {
   return design;
 }
 
-Server::CornerPtr Server::build_corner(const JobRequest& req,
-                                       util::Budget* budget) {
-  const obs::ScopedSpan span{"service.corner"};
-  obs::counter("service.corners_built").add();
-  const std::string lib_path = cells::default_lib_path(
-      options_.lib_dir, device::resolve_preset(req.preset),
-      spice::resolve_backend(req.backend).name(), req.temp, req.vdd);
-  const auto dir = std::filesystem::path{lib_path}.parent_path();
-  if (!dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-  }
-  cells::CharOptions char_options = options_.char_options;
-  char_options.vdd = req.vdd;
-  char_options.preset = device::resolve_preset(req.preset);
-  char_options.backend = req.backend;
-  char_options.budget = budget;
-  auto corner = std::make_shared<Corner>();
-  corner->library =
-      cells::load_or_characterize(lib_path, options_.catalog, req.temp,
-                                  char_options);
-  corner->matcher.emplace(corner->library);
-  return corner;
-}
-
 Server::CornerPtr Server::corner(const JobRequest& req,
                                  util::Budget* budget, bool& warm) {
   const std::string key = cells::default_lib_path(
@@ -362,7 +331,15 @@ Server::CornerPtr Server::corner(const JobRequest& req,
     }
     if (builder) {
       try {
-        CornerPtr corner = build_corner(req, budget);
+        const obs::ScopedSpan span{"service.corner"};
+        obs::counter("service.corners_built").add();
+        cells::CharOptions char_options = options_.char_options;
+        char_options.vdd = req.vdd;
+        char_options.preset = device::resolve_preset(req.preset);
+        char_options.backend = req.backend;
+        char_options.budget = budget;
+        CornerPtr corner = core::load_corner(key, options_.catalog, req.temp,
+                                             char_options);
         promise.set_value(corner);
         return corner;
       } catch (...) {
@@ -400,10 +377,8 @@ util::Json Server::run_job(const JobRequest& req) {
     const std::string recipe = req.recipe.empty()
                                    ? core::canonical_recipe(req.flow)
                                    : req.recipe;
-    // Compile first (against this daemon's registry, which may carry
-    // plugins): a typo must not cost a characterization.
-    const std::string canonical =
-        core::Pipeline::parse(recipe, registry_).to_string();
+    // Compile first: a typo must not cost a characterization.
+    const std::string canonical = core::Pipeline::parse(recipe).to_string();
     const logic::Aig design = resolve_design(req);
     bool corner_warm = false;
     const CornerPtr corner_ptr = corner(req, &budget, corner_warm);
@@ -414,8 +389,8 @@ util::Json Server::run_job(const JobRequest& req) {
                             req.flow.priority, recipe};
     const CacheSnapshot before = CacheSnapshot::take();
     const core::ScenarioResult result =
-        core::run_scenario(design, *corner_ptr->matcher, experiment, spec,
-                           &budget, &registry_);
+        core::run_scenario(design, corner_ptr->matcher, experiment, spec,
+                           &budget);
     const CacheSnapshot after = CacheSnapshot::take();
     return ok_reply(req.id,
                     job_report_json(design, req.temp, req.vdd,
@@ -424,79 +399,10 @@ util::Json Server::run_job(const JobRequest& req) {
                                         .identity(),
                                     canonical, result),
                     after.delta_since(before), corner_warm);
-  } catch (const core::RecipeError& e) {
-    obs::counter("service.job_errors").add();
-    return error_reply(req.id, ErrorKind::kRecipe, e.what());
-  } catch (const Error& e) {
-    obs::counter("service.job_errors").add();
-    return error_reply(req.id, e.kind(), e.what());
   } catch (const std::exception& e) {
     obs::counter("service.job_errors").add();
-    return error_reply(req.id, ErrorKind::kInternal, e.what());
-  }
-}
-
-util::Json Server::load_plugin(const JobRequest& req) {
-  try {
-    if (registry_.find(req.plugin_name) != nullptr) {
-      throw Error{ErrorKind::kRecipe,
-                  "pass '" + req.plugin_name +
-                      "' already exists; plugins may not redefine passes "
-                      "(compiled pipelines hold pointers to them)"};
-    }
-    if (req.plugin_name.find_first_of(" \t;-") != std::string::npos) {
-      throw Error{ErrorKind::kRecipe,
-                  "plugin name '" + req.plugin_name +
-                      "' must not contain whitespace, ';', or '-'"};
-    }
-    const core::Pipeline compiled =
-        core::Pipeline::parse(req.plugin_script, registry_);
-    core::Pass pass;
-    pass.name = req.plugin_name;
-    for (const core::PassInvocation& step : compiled.sequence()) {
-      if (!step.pass->aig_transform || step.pass->needs_luts ||
-          step.pass->makes_luts) {
-        throw Error{ErrorKind::kRecipe,
-                    "load_plugin scripts compose AIG-transform passes "
-                    "only; '" +
-                        step.pass->name + "' is not one"};
-      }
-      pass.uses_sat = pass.uses_sat || step.pass->uses_sat;
-      pass.budget_aware = pass.budget_aware || step.pass->budget_aware;
-    }
-    const std::string canonical = compiled.to_string();
-    pass.help = req.plugin_help.empty() ? "plugin: " + canonical
-                                        : req.plugin_help;
-    pass.aig_transform = true;
-    pass.cacheable = false;  // body is daemon-local, not keyable state
-    // The captured invocations point into this server's registry map;
-    // node-based std::map keeps them stable, and redefinition is
-    // rejected above, so they stay valid for the daemon's lifetime.
-    pass.run = [sequence = compiled.sequence()](
-                   core::FlowState& state, const core::PassArgs&) {
-      for (const core::PassInvocation& step : sequence) {
-        util::Budget& budget =
-            state.budget != nullptr ? *state.budget : util::Budget::global();
-        budget.check_cancelled("service.plugin");
-        const obs::ScopedSpan step_span{"pass." + step.pass->name};
-        step.pass->run(state, step.args);
-      }
-    };
-    registry_.add(std::move(pass));
-    obs::counter("service.plugins_loaded").add();
-    util::Json reply = op_ok_reply(req.id, "load_plugin");
-    reply["pass"] = util::Json{req.plugin_name};
-    reply["expands_to"] = util::Json{canonical};
-    return reply;
-  } catch (const core::RecipeError& e) {
-    obs::counter("service.job_errors").add();
-    return error_reply(req.id, ErrorKind::kRecipe, e.what());
-  } catch (const Error& e) {
-    obs::counter("service.job_errors").add();
-    return error_reply(req.id, e.kind(), e.what());
-  } catch (const std::exception& e) {
-    obs::counter("service.job_errors").add();
-    return error_reply(req.id, ErrorKind::kInternal, e.what());
+    const core::Failure failure = core::describe(e);
+    return error_reply(req.id, failure.kind, failure.error);
   }
 }
 

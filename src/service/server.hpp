@@ -5,15 +5,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cells/characterize.hpp"
-#include "core/pipeline.hpp"
-#include "liberty/library.hpp"
+#include "core/corner_matrix.hpp"
 #include "logic/aig.hpp"
-#include "map/matcher.hpp"
 #include "service/job_queue.hpp"
 #include "service/protocol.hpp"
 #include "util/budget.hpp"
@@ -41,17 +38,14 @@ struct ServeOptions {
 ///
 /// One server owns the long-lived expensive state every job shares:
 ///  * a characterized-corner map — (preset, engine, temp, vdd) ->
-///    liberty library +
-///    `map::CellMatcher`, built at most once per corner (concurrent
+///    `core::Corner` (liberty library + `map::CellMatcher`, loaded by
+///    `core::load_corner`), built at most once per corner (concurrent
 ///    requesters wait on a shared future; a corner whose
 ///    characterization *failed* — e.g. the requesting job's budget
 ///    expired mid-SPICE — is evicted so a later job retries);
 ///  * a built-benchmark cache (generator AIGs are deterministic);
 ///  * the process-global `util::ArtifactCache` (scenario / pass /
-///    characterization stages), warmed across jobs;
-///  * a private `core::PassRegistry` copy that `load_plugin` requests
-///    extend with composite passes (plugin passes are `cacheable =
-///    false`, so their results never enter name-keyed caches).
+///    characterization stages), warmed across jobs.
 ///
 /// Each job gets its own `util::Budget` (armed from `deadline_s`), its
 /// own `service.job:<id>` obs span subtree, and full fault isolation:
@@ -61,9 +55,8 @@ struct ServeOptions {
 ///
 /// Jobs run concurrently on the queue's thread pool, but replies are
 /// emitted strictly in request order (the protocol is positional).
-/// `load_plugin`, `stats`, and `shutdown` are barriers: all pending
-/// jobs drain before the registry mutates / the snapshot is taken /
-/// the session ends.
+/// `stats` and `shutdown` are barriers: all pending jobs drain before
+/// the snapshot is taken / the session ends.
 class Server {
 public:
   explicit Server(ServeOptions options);
@@ -87,23 +80,14 @@ public:
   /// True once a `shutdown` request was served.
   bool shutdown_requested() const { return shutdown_; }
 
-  const core::PassRegistry& registry() const { return registry_; }
-
 private:
-  /// A characterized corner: the matcher points into `library`, so the
-  /// two live (and are shared) together.
-  struct Corner {
-    liberty::Library library;
-    std::optional<map::CellMatcher> matcher;
-  };
-  using CornerPtr = std::shared_ptr<const Corner>;
+  using CornerPtr = std::shared_ptr<const core::Corner>;
 
   void dispatch(const std::string& line, std::ostream& out);
   void flush(std::vector<util::Json> replies, std::ostream& out);
 
   util::Json run_job(const JobRequest& req);
   util::Json stats_reply(const std::string& id) const;
-  util::Json load_plugin(const JobRequest& req);
 
   logic::Aig resolve_design(const JobRequest& req);
   /// Get or build the job's (preset, engine, temp, vdd) corner — keyed
@@ -112,10 +96,8 @@ private:
   /// (characterization aborts with kBudget when it expires); `warm`
   /// reports whether the corner was already resident.
   CornerPtr corner(const JobRequest& req, util::Budget* budget, bool& warm);
-  CornerPtr build_corner(const JobRequest& req, util::Budget* budget);
 
   ServeOptions options_;
-  core::PassRegistry registry_;
   JobQueue queue_;
   bool shutdown_ = false;
 

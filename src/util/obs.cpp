@@ -164,8 +164,15 @@ public:
     return fix_unit(entry, unit);
   }
 
-  std::int64_t now_ns() const {
-    return steady_ns() - epoch_ns_.load(std::memory_order_relaxed);
+  std::int64_t epoch_ns() const {
+    return epoch_ns_.load(std::memory_order_relaxed);
+  }
+  std::int64_t now_ns() const { return steady_ns() - epoch_ns(); }
+
+  static std::int64_t steady_ns() {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
   }
 
   std::uint32_t alloc_span_id() {
@@ -325,12 +332,6 @@ public:
 private:
   Registry() : epoch_ns_{steady_ns()} {}
 
-  static std::int64_t steady_ns() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-
   /// Find-or-create with a double-checked shared/unique lock. std::map
   /// nodes are address-stable, so returned references survive later
   /// insertions (and `reset`, which only zeroes values).
@@ -388,7 +389,7 @@ ScopedSpan::ScopedSpan(std::string name) {
   id_ = reg.alloc_span_id();
   parent_ = t_current_span;
   t_current_span = id_;
-  start_ns_ = reg.now_ns();
+  start_ns_ = Registry::steady_ns();
 }
 
 ScopedSpan::~ScopedSpan() {
@@ -397,8 +398,11 @@ ScopedSpan::~ScopedSpan() {
   }
   auto& reg = Registry::instance();
   t_current_span = parent_;
+  // Both ends against one epoch read: a reset() while the span was live
+  // moves its start before 0 but never makes its duration negative.
+  const std::int64_t epoch = reg.epoch_ns();
   reg.add_span(SpanRecord{std::move(name_), id_, parent_, reg.thread_id(),
-                          start_ns_, reg.now_ns()});
+                          start_ns_ - epoch, Registry::steady_ns() - epoch});
 }
 
 // --------------------------------------------------------- free API -----

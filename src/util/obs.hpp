@@ -148,7 +148,7 @@ private:
   bool active_ = false;
   std::uint32_t id_ = 0;
   std::uint32_t parent_ = 0;
-  std::int64_t start_ns_ = 0;
+  std::int64_t start_ns_ = 0;  ///< raw steady-clock time, not epoch-relative
   std::string name_;
 };
 

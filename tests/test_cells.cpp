@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 #include "cells/catalog.hpp"
 #include "cells/characterize.hpp"
@@ -19,6 +22,16 @@ const CellSpec* find_spec(const std::vector<CellSpec>& catalog,
     }
   }
   return nullptr;
+}
+
+/// A temp-dir path unique to the running test and process: ctest -j
+/// runs every test in its own process, all sharing one temp directory.
+std::string unique_temp_path(const std::string& stem) {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return (std::filesystem::temp_directory_path() /
+          (stem + "_" + test->name() + "_" + std::to_string(::getpid()) +
+           ".lib"))
+      .string();
 }
 
 TEST(Catalog, SizeIsPaperScale) {
@@ -42,6 +55,13 @@ struct ExpectedFunction {
   std::uint64_t tt;
   unsigned inputs;
 };
+
+/// Names each case after its cell. Without it gtest prints the raw
+/// bytes of the struct, which hold a string address and padding, so the
+/// discovered ctest names change from one build (and run) to the next.
+void PrintTo(const ExpectedFunction& expected, std::ostream* os) {
+  *os << expected.cell;
+}
 
 class KnownFunctions : public ::testing::TestWithParam<ExpectedFunction> {};
 
@@ -199,9 +219,7 @@ TEST_F(CharacterizedMini, InputCapsArePhysical) {
 }
 
 TEST(Characterize, CacheRoundTrip) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "cryo_cache_test.lib")
-          .string();
+  const auto path = unique_temp_path("cryo_cache_test");
   std::filesystem::remove(path);
   CharOptions options;
   options.slews = {4e-12, 16e-12};
@@ -231,9 +249,7 @@ TEST(Characterize, CacheRoundTrip) {
 /// the canonical library name embeds the platform, and
 /// load_or_characterize re-characterizes on mismatch.
 TEST(Characterize, CacheRejectsADifferentPresetAtTheSameCorner) {
-  const auto path = (std::filesystem::temp_directory_path() /
-                     "cryo_cache_preset_alias_test.lib")
-                        .string();
+  const auto path = unique_temp_path("cryo_cache_preset_alias_test");
   std::filesystem::remove(path);
   CharOptions options;
   options.vdd = 0.8;

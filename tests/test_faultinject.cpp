@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "cells/catalog.hpp"
@@ -19,6 +21,7 @@
 #include "core/experiment.hpp"
 #include "core/flow.hpp"
 #include "core/pipeline.hpp"
+#include "core/search.hpp"
 #include "epfl/benchmarks.hpp"
 #include "liberty/library.hpp"
 #include "logic/aig.hpp"
@@ -111,6 +114,71 @@ TEST(ErrorTaxonomy, WhatCarriesTheKindPrefix) {
   } catch (const std::exception& plain) {
     EXPECT_STREQ(plain.what(), "numeric: Newton failed");
   }
+}
+
+/// The fields `core::isolate` fills, as every fleet entry carries them.
+struct IsolatedEntry {
+  bool ok = true;
+  std::string error;
+  std::string error_kind;
+};
+
+TEST(ErrorTaxonomy, DescribeAndIsolateClassifyEveryFailure) {
+  obs::set_enabled(true);
+  obs::reset();
+  struct Case {
+    std::function<void()> raise;
+    std::string what;
+    std::string kind;
+    int exit_code;
+  };
+  const std::vector<Case> cases = {
+      {[] { throw Error{ErrorKind::kRecipe, "bad flag"}; },
+       "recipe: bad flag", "recipe", 2},
+      {[] { throw Error{ErrorKind::kIo, "no file"}; }, "io: no file", "io", 3},
+      {[] { throw Error{ErrorKind::kBudget, "late"}; }, "budget: late",
+       "budget", 4},
+      {[] { throw Error{ErrorKind::kNumeric, "diverged"}; },
+       "numeric: diverged", "numeric", 5},
+      {[] { throw Error{ErrorKind::kInternal, "broken"}; },
+       "internal: broken", "internal", 1},
+      {[] { throw core::RecipeError{"unknown pass 'warp9'"}; },
+       "unknown pass 'warp9'", "recipe", 2},
+      {[] { throw std::runtime_error{"plain"}; }, "plain", "internal", 1},
+  };
+  std::uint64_t isolated = 0;
+  for (const Case& c : cases) {
+    try {
+      c.raise();
+      FAIL() << "case " << c.what << " did not throw";
+    } catch (const std::exception& e) {
+      const core::Failure failure = core::describe(e);
+      EXPECT_EQ(failure.error, c.what);
+      EXPECT_EQ(failure.error_kind(), c.kind) << c.what;
+      EXPECT_EQ(failure.exit_code(), c.exit_code) << c.what;
+    }
+
+    IsolatedEntry entry;
+    if (c.kind == "budget") {
+      // An exhausted budget stops the whole run: never isolated.
+      EXPECT_THROW(core::isolate(entry, "test.isolated", c.raise), Error);
+      EXPECT_TRUE(entry.ok);
+      EXPECT_TRUE(entry.error.empty());
+    } else {
+      core::isolate(entry, "test.isolated", c.raise);
+      ++isolated;
+      EXPECT_FALSE(entry.ok) << c.what;
+      EXPECT_EQ(entry.error, c.what);
+      EXPECT_EQ(entry.error_kind, c.kind);
+    }
+    EXPECT_EQ(obs::counter("test.isolated").get(), isolated) << c.what;
+  }
+
+  // A body that returns normally leaves the entry and the counter alone.
+  IsolatedEntry clean;
+  core::isolate(clean, "test.isolated", [] {});
+  EXPECT_TRUE(clean.ok);
+  EXPECT_EQ(obs::counter("test.isolated").get(), isolated);
 }
 
 // ---------------------------------------------------------------------------
@@ -583,6 +651,29 @@ TEST_F(FleetIsolation, MidFleetScenarioFailureLeavesSiblingsExact) {
   EXPECT_EQ(faulted.power_saving_pad(), 0.0);
   EXPECT_EQ(faulted.delay_overhead_pad(), 0.0);
   EXPECT_GT(faulted.power_saving_pda(), -1.0);  // real figure, pda is ok
+}
+
+TEST_F(FleetIsolation, FailingSearchVariantIsRecordedInItsTrial) {
+  const auto suite = epfl::mini_suite();
+  core::SearchOptions options;
+  options.experiment.threads = 1;  // serial: variant arrival order is fixed
+  options.variants = 3;
+
+  // The first variant's scenario throws; the other two still run.
+  const ScopedFaults faults{"core.scenario=once@1"};
+  const auto results = core::search_recipes({suite[2]}, *matcher_, options);
+
+  ASSERT_EQ(results.size(), 1u);
+  const auto& trials = results[0].trials;
+  ASSERT_EQ(trials.size(), 3u);
+  EXPECT_FALSE(trials[0].result.ok);
+  EXPECT_EQ(trials[0].result.error, "internal: injected fault at core.scenario");
+  EXPECT_EQ(trials[0].result.error_kind, "internal");
+  EXPECT_TRUE(trials[1].result.ok);
+  EXPECT_TRUE(trials[2].result.ok);
+  EXPECT_GE(results[0].best, 1);
+  EXPECT_EQ(obs::counter("search.variant_errors").get(), 1u);
+  EXPECT_EQ(obs::counter("search.variants_run").get(), 3u);
 }
 
 TEST_F(FleetIsolation, BudgetCancellationIsNotIsolated) {

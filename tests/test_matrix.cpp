@@ -10,7 +10,6 @@
 #include "device/finfet.hpp"
 #include "device/preset.hpp"
 #include "device/serialize.hpp"
-#include "service/protocol.hpp"
 #include "util/artifact_cache.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
@@ -103,9 +102,6 @@ TEST(LibraryNaming, DefaultPlatformKeepsLegacySpelling) {
   EXPECT_EQ(cryo::cells::default_lib_path("out", finfet5, "builtin", 10.0,
                                           0.65),
             "out/cryoeda_lib_10K_0.65V.lib");
-  // The service wrapper is the same function, minus the platform.
-  EXPECT_EQ(cryo::service::default_lib_path("out", 10.0, 0.7),
-            "out/cryoeda_lib_10K.lib");
 }
 
 TEST(LibraryNaming, PresetsAndEnginesNeverAlias) {

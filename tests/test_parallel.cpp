@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "cells/catalog.hpp"
 #include "cells/characterize.hpp"
@@ -288,8 +291,12 @@ protected:
     return options;
   }
 
+  // Unique per test and process: ctest -j runs every test of this
+  // fixture in its own process, concurrently, in one temp directory.
   std::string cache_path_ =
-      ::testing::TempDir() + "/cryoeda_cache_test.lib";
+      ::testing::TempDir() + "/cryoeda_cache_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".lib";
 
   void TearDown() override { std::remove(cache_path_.c_str()); }
 };

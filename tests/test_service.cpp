@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "cells/catalog.hpp"
+#include "cells/characterize.hpp"
+#include "device/preset.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "util/artifact_cache.hpp"
@@ -78,19 +80,24 @@ TEST(Protocol, ParseRequestRejectsBadRequests) {
   expect_rejected(R"({"bench": "dec4", "temp": -4})", "positive temperature");
   expect_rejected(R"({"bench": "dec4", "deadline_s": -1})", "deadline_s");
   expect_rejected(R"({"bench": "dec4", "seed": -1})", "non-negative");
-  expect_rejected(R"({"bench": "dec4", "name": "p"})", "takes no name");
-  expect_rejected(R"({"op": "load_plugin", "name": "p"})", "non-empty");
+  expect_rejected(R"({"bench": "dec4", "name": "p"})", "unknown field 'name'");
+  expect_rejected(R"({"op": "load_plugin"})", "unknown op");
   expect_rejected(R"({"op": "ping", "bench": "dec4"})", "takes no bench");
   expect_rejected(R"([1, 2])", "must be a JSON object");
 }
 
 TEST(Protocol, DefaultLibPathMatchesCliConvention) {
-  EXPECT_EQ(service::default_lib_path("cryoeda_out", 10.0, 0.7),
+  // The daemon and the one-shot CLI share these cache paths; the default
+  // platform keeps its historical spelling.
+  const auto lib_path = [](const std::string& dir, double temp, double vdd) {
+    return cells::default_lib_path(dir, device::default_preset(), "builtin",
+                                   temp, vdd);
+  };
+  EXPECT_EQ(lib_path("cryoeda_out", 10.0, 0.7),
             "cryoeda_out/cryoeda_lib_10K.lib");
-  EXPECT_EQ(service::default_lib_path("cryoeda_out", 300.0, 0.7),
+  EXPECT_EQ(lib_path("cryoeda_out", 300.0, 0.7),
             "cryoeda_out/cryoeda_lib_300K.lib");
-  EXPECT_EQ(service::default_lib_path("d", 77.0, 0.8),
-            "d/cryoeda_lib_77K_0.8V.lib");
+  EXPECT_EQ(lib_path("d", 77.0, 0.8), "d/cryoeda_lib_77K_0.8V.lib");
 }
 
 TEST(Protocol, ErrorReplyCarriesTheTaxonomy) {
@@ -349,65 +356,6 @@ TEST_F(ServiceTest, HalfClosedSocketClientStillGetsItsReplies) {
   EXPECT_EQ(replies[0].at("id").as_string(), "s1");
   EXPECT_EQ(replies[0].at("status").as_string(), "ok");
   EXPECT_EQ(replies[1].at("op").as_string(), "ping");
-}
-
-TEST_F(ServiceTest, LoadPluginRegistersACompositePassAndJobsUseIt) {
-  service::Server server{cheap_options()};
-  const std::string batch =
-      R"({"id": "p", "op": "load_plugin", "name": "boost",)"
-      R"( "script": "balance; rewrite; refactor"})"
-      "\n"
-      R"({"id": "plugged", "bench": "dec4", "recipe": "boost; map"})"
-      "\n"
-      R"({"id": "spelled", "bench": "dec4",)"
-      R"( "recipe": "balance; rewrite; refactor; map"})"
-      "\n";
-  const auto replies = run_session(server, batch);
-  ASSERT_EQ(replies.size(), 3u);
-  EXPECT_EQ(replies[0].at("status").as_string(), "ok") << replies[0].dump();
-  EXPECT_EQ(replies[0].at("pass").as_string(), "boost");
-  ASSERT_EQ(replies[1].at("status").as_string(), "ok") << replies[1].dump();
-  ASSERT_EQ(replies[2].at("status").as_string(), "ok");
-  // The composite pass runs exactly its expansion: identical figures.
-  EXPECT_EQ(replies[1].at("report").at("result").dump(),
-            replies[2].at("report").at("result").dump());
-  // A plugin recipe must never be served from (or stored into) the
-  // name-keyed scenario cache.
-  EXPECT_EQ(replies[1].at("cache").at("scenario_hits").as_int(), 0);
-  EXPECT_NE(server.registry().find("boost"), nullptr);
-  EXPECT_EQ(core::PassRegistry::global().find("boost"), nullptr)
-      << "plugins must stay daemon-local";
-}
-
-TEST_F(ServiceTest, LoadPluginRejectsBadDefinitions) {
-  service::Server server{cheap_options()};
-  const std::string batch =
-      R"({"id": "dup", "op": "load_plugin", "name": "balance",)"
-      R"( "script": "rewrite"})"
-      "\n"
-      R"({"id": "unknown", "op": "load_plugin", "name": "p1",)"
-      R"( "script": "warp9"})"
-      "\n"
-      R"({"id": "notaig", "op": "load_plugin", "name": "p2",)"
-      R"( "script": "map"})"
-      "\n"
-      R"({"id": "ok", "op": "load_plugin", "name": "p3",)"
-      R"( "script": "balance"})"
-      "\n"
-      R"({"id": "redef", "op": "load_plugin", "name": "p3",)"
-      R"( "script": "rewrite"})"
-      "\n";
-  const auto replies = run_session(server, batch);
-  ASSERT_EQ(replies.size(), 5u);
-  EXPECT_EQ(replies[0].at("status").as_string(), "error");
-  EXPECT_NE(replies[0].at("error").as_string().find("already exists"),
-            std::string::npos);
-  EXPECT_EQ(replies[1].at("status").as_string(), "error");
-  EXPECT_EQ(replies[2].at("status").as_string(), "error");
-  EXPECT_NE(replies[2].at("error").as_string().find("AIG-transform"),
-            std::string::npos);
-  EXPECT_EQ(replies[3].at("status").as_string(), "ok");
-  EXPECT_EQ(replies[4].at("status").as_string(), "error");
 }
 
 TEST_F(ServiceTest, StatsReportsServiceCounters) {
